@@ -394,6 +394,64 @@ func BenchmarkRoutingTrial_fieldSource(b *testing.B) {
 	}
 }
 
+// countingSource counts the distance queries routed through it.
+type countingSource struct {
+	dist.Source
+	calls *int
+}
+
+func (c countingSource) Dist(u, t graph.NodeID) int32 {
+	*c.calls++
+	return c.Source.Dist(u, t)
+}
+
+// BenchmarkRoutingTrial_twoHopPowerlaw routes uniform-scheme trials on a
+// hub-heavy powerlaw graph steered by packed 2-hop labels — the shape of
+// E12's powerlaw cells and of the serve route path — with and without the
+// exact-distance early exit (route.Options.Exact).  dist-calls/route is
+// counted on an untimed pass over the same routes, so it is deterministic.
+func BenchmarkRoutingTrial_twoHopPowerlaw(b *testing.B) {
+	g := gen.PowerLawAttachment(1<<14, 2, xrand.New(1))
+	var src dist.Source = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	inst, err := augment.NewUniformScheme().Prepare(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairRNG := xrand.New(2)
+	pairs := make([]sim.Pair, 64)
+	for i := range pairs {
+		pairs[i] = sim.Pair{Source: graph.NodeID(pairRNG.Intn(g.N())), Target: graph.NodeID(pairRNG.Intn(g.N()))}
+	}
+	for _, exact := range []bool{true, false} {
+		name := "fullscan"
+		if exact {
+			name = "exact"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := route.Options{Scratch: route.NewScratch(g.N()), Exact: exact}
+			trial := func(i int, src dist.Source, rng *xrand.RNG) {
+				p := pairs[i%len(pairs)]
+				res, err := route.Greedy(g, inst, p.Source, p.Target, src, rng, opts)
+				if err != nil || !res.Reached {
+					b.Fatalf("trial %d->%d: %+v, %v", p.Source, p.Target, res, err)
+				}
+			}
+			var calls int
+			counted := dist.Source(countingSource{src, &calls})
+			for i := range pairs {
+				trial(i, counted, xrand.New(3))
+			}
+			rng := xrand.New(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trial(i, src, rng)
+			}
+			b.ReportMetric(float64(calls)/float64(len(pairs)), "dist-calls/route")
+		})
+	}
+}
+
 // benchmarkEstimateEndToEnd measures a whole greedy-diameter estimation of
 // the harmonic scheme on the n=4096 mesh at the sim default scale (16 pairs
 // x 8 trials) — the macro path the Contact micro-benchmarks feed: Prepare

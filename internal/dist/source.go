@@ -9,17 +9,30 @@ import (
 // time and O(1) memory per query.  It is the abstraction the routing hot
 // path steers by: greedy routing only ever asks "how far is v from the
 // target t?", and a Source answers exactly that without materialising a
-// per-target distance field.
+// per-target distance field.  Implementations must be safe for concurrent
+// readers once constructed.  Unreachable pairs yield graph.Unreachable.
 //
-// Implementations must be safe for concurrent readers once constructed and
-// must agree with BFS hop distances exactly (analytic closed forms for
-// structured graph families live in internal/graph/gen and are
-// property-tested against BFS).  Unreachable pairs yield graph.Unreachable.
+// # Exactness
 //
-// Oracle implementations (APSP, LandmarkOracle) satisfy Source; the
-// landmark tier only returns upper bounds, so it must not be used where the
-// routing invariants require exact distances.  For graphs with no analytic
-// metric, a BFS field wrapped by NewField is the exact fallback Source.
+// A source is exact on a graph when, for every target t and every node v,
+// Dist(v, t) is the true hop distance d(v, t).  Neighbours u of any node v
+// then satisfy d(v,t)-1 <= Dist(u, t) <= d(v,t)+1, and some neighbour of
+// every v != t in t's component sits at d(v,t)-1.  route.Options.Exact
+// relies on exactly this to stop each greedy step at the first neighbour
+// one hop closer.  The interface cannot enforce it, so the caller that
+// picked the tier declares it (sim.Config.ApproxSource, serve's tier
+// ladder).  Tiers and their status:
+//
+//   - exact: analytic family metrics (internal/graph/gen, property-tested
+//     against BFS), Field over a BFS field of the graph, APSP, TwoHop raw
+//     and packed, and DynTwoHop while Debt() == 0 — all pinned to BFS by
+//     the disttest conformance suite;
+//   - approximate: LandmarkOracle (upper bounds, exact only at landmark
+//     endpoints) and DynTwoHop with Debt() > 0 (nodes in debt serve their
+//     pre-churn answers).
+//
+// For graphs with no analytic metric, a BFS field wrapped by NewField is
+// the exact fallback Source.
 type Source interface {
 	// Dist returns the hop distance from u to t.
 	Dist(u, t graph.NodeID) int32

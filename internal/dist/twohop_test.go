@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"strings"
 	"testing"
 
 	"navaug/internal/graph"
@@ -214,5 +215,26 @@ func TestSourcePolicyResolve(t *testing.T) {
 	}
 	if p, err := ParseSourcePolicy(""); err != nil || p != PolicyAuto {
 		t.Fatalf("ParseSourcePolicy(%q) = (%v, %v), want auto", "", p, err)
+	}
+}
+
+// TestParseSourcePolicyErrorListsEveryPolicy: each policy the parser
+// accepts parses to itself and is named in the unknown-policy error, so
+// the message never drifts from the accepted set.
+func TestParseSourcePolicyErrorListsEveryPolicy(t *testing.T) {
+	_, err := ParseSourcePolicy("nope")
+	if err == nil {
+		t.Fatal("ParseSourcePolicy accepted garbage")
+	}
+	for _, p := range []SourcePolicy{PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyTwoHopPacked, PolicyField} {
+		t.Run(string(p), func(t *testing.T) {
+			got, perr := ParseSourcePolicy(string(p))
+			if perr != nil || got != p {
+				t.Fatalf("ParseSourcePolicy(%q) = (%q, %v)", p, got, perr)
+			}
+			if !strings.Contains(err.Error(), " "+string(p)+",") && !strings.Contains(err.Error(), " "+string(p)+")") {
+				t.Errorf("error %q does not list accepted policy %q", err, p)
+			}
+		})
 	}
 }

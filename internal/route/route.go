@@ -3,11 +3,15 @@
 // neighbour (local neighbours plus the node's own long-range contact) that
 // is closest to the target according to distances in the underlying graph.
 //
-// Distances to the target are read through a dist.Source — either an
-// analytic closed-form metric (structured families, O(1) per query with no
-// per-target state at all, which is what permits million-node graphs) or a
-// BFS distance field wrapped via dist.NewField (the exact fallback for
-// unstructured graphs).
+// Distances to the target are read through a dist.Source: an analytic
+// closed-form metric (structured families, O(1) per query with no
+// per-target state, which is what permits million-node graphs), an exact
+// 2-hop-cover oracle (dist.TwoHop, raw or packed, and dist.DynTwoHop at
+// zero repair debt), a BFS distance field wrapped via dist.NewField, or an
+// approximate tier (landmark upper bounds, a repair oracle carrying debt)
+// when serving degrades.  Options.Exact is the caller's declaration that
+// the source is one of the exact tiers; it lets each step stop scanning
+// neighbours at the first one that is one hop closer (see greedyStep).
 //
 // Long-range contacts are drawn lazily and memoised per trial so that each
 // node keeps one consistent contact while only paying for the nodes
@@ -76,39 +80,50 @@ type Options struct {
 	// allocated for the trial (convenient, but the hot path — the Monte
 	// Carlo worker pool — always passes one per worker).
 	Scratch *Scratch
+	// Exact declares that the distance source answers true hop distances
+	// (the dist.Source exactness invariant), so every neighbour of a node
+	// at distance d from the target lies at d-1, d or d+1.  Each step then
+	// stops its neighbour scan at the first neighbour at d-1, which is the
+	// node the full scan would pick.  Results are identical either way;
+	// only the number of distance queries drops.  Leave it unset for
+	// approximate sources (landmark bounds, a dist.DynTwoHop with repair
+	// debt): there the early exit can pick a different neighbour.
+	Exact bool
 }
 
 // validate checks the endpoints and distance source shared by both routing
-// variants, and resolves the trial scratch.
-func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (*Scratch, error) {
+// variants, and resolves the trial scratch.  It returns d(s, t), which
+// seeds the distance carried from hop to hop.
+func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (*Scratch, int32, error) {
 	n := g.N()
 	if int(s) < 0 || int(s) >= n || int(t) < 0 || int(t) >= n {
-		return nil, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
+		return nil, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
 	}
 	if src == nil {
-		return nil, fmt.Errorf("route: nil distance source")
+		return nil, 0, fmt.Errorf("route: nil distance source")
 	}
 	// Sources that know their node count (dist.Field, the analytic family
 	// metrics) are checked against the graph up front: a mis-sized source
 	// would otherwise index out of range (fields) or silently report wrong
 	// distances (metrics) mid-route.
 	if s, ok := src.(interface{ N() int }); ok && s.N() != n {
-		return nil, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
+		return nil, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
 	}
 	if src.Dist(t, t) != 0 {
-		return nil, fmt.Errorf("route: distance source is not rooted at target %d", t)
+		return nil, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
 	}
-	if src.Dist(s, t) == graph.Unreachable {
-		return nil, fmt.Errorf("route: target %d unreachable from source %d", t, s)
+	dst := src.Dist(s, t)
+	if dst == graph.Unreachable {
+		return nil, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
 	}
 	scratch := opts.Scratch
 	if scratch == nil {
 		scratch = NewScratch(n)
 	} else if scratch.memo.Len() != n {
-		return nil, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", scratch.memo.Len(), n)
+		return nil, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", scratch.memo.Len(), n)
 	}
 	scratch.memo.Reset()
-	return scratch, nil
+	return scratch, dst, nil
 }
 
 // Greedy routes a message from s to t on graph g augmented by the given
@@ -118,7 +133,7 @@ func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) 
 // source not rooted at the target or with an unreachable source node, or a
 // mis-sized scratch.
 func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, err := validate(g, s, t, src, opts)
+	scratch, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -136,7 +151,7 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 		if res.Steps >= maxSteps {
 			return res, nil // Reached stays false
 		}
-		next, viaLong := greedyStep(g, inst, scratch, cur, t, src, rng)
+		next, nextDist, viaLong := greedyStep(g, inst, scratch, cur, t, curDist, src, rng, opts.Exact)
 		if next == cur {
 			// No neighbour (nor the contact) improves on cur.  With an
 			// exact distance source this cannot happen on a reachable
@@ -149,7 +164,7 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 		if viaLong {
 			res.LongLinksUsed++
 		}
-		cur = next
+		cur, curDist = next, nextDist
 		res.Steps++
 		if opts.Trace {
 			res.Path = append(res.Path, cur)
@@ -161,10 +176,18 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 
 // greedyStep picks the neighbour of cur (including its long-range contact)
 // closest to the target; ties prefer local links and then lower node ids,
-// which keeps the process deterministic given the drawn contacts.
-func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t graph.NodeID, src dist.Source, rng *xrand.RNG) (graph.NodeID, bool) {
+// which keeps the process deterministic given the drawn contacts.  curDist
+// is d(cur, t), carried from the previous hop; the chosen node's distance
+// is returned so the caller can carry it into the next one.
+//
+// With exact distances no neighbour is closer than curDist-1, and
+// adjacency lists are strictly increasing, so the first neighbour at
+// curDist-1 is the one the full scan would settle on: the scan stops
+// there.  The contact is still drawn and queried, because it wins only
+// when strictly closer.
+func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t graph.NodeID, curDist int32, src dist.Source, rng *xrand.RNG, exact bool) (graph.NodeID, int32, bool) {
 	best := cur
-	bestDist := src.Dist(cur, t)
+	bestDist := curDist
 	viaLong := false
 	for _, v := range g.Neighbors(cur) {
 		d := src.Dist(v, t)
@@ -174,7 +197,9 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t 
 		if d < bestDist || (d == bestDist && v < best) {
 			best = v
 			bestDist = d
-			viaLong = false
+			if exact && d == curDist-1 {
+				break
+			}
 		}
 	}
 	if c := scratch.contact(inst, cur, rng); c != cur {
@@ -185,7 +210,7 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t 
 			viaLong = true
 		}
 	}
-	return best, viaLong
+	return best, bestDist, viaLong
 }
 
 // GreedyWithLookahead is the "know thy neighbour's neighbour" extension
@@ -196,7 +221,7 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t 
 // traversal still advances one edge per step, so the step count remains
 // comparable with plain greedy routing.
 func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, err := validate(g, s, t, src, opts)
+	scratch, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,13 +239,16 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 			return res, nil
 		}
 		// Direct greedy candidate.
-		direct, viaLong := greedyStep(g, inst, scratch, cur, t, src, rng)
-		directDist := src.Dist(direct, t)
+		next, nextDist, nextViaLong := greedyStep(g, inst, scratch, cur, t, curDist, src, rng, opts.Exact)
 		// Lookahead: neighbour whose own long-range contact is closest.
+		// Every neighbour's contact is drawn, in adjacency order, whatever
+		// the direct step found, so the contact RNG stream does not depend
+		// on Options.Exact.
 		bestVia := graph.NodeID(-1)
-		bestViaDist := int32(-1)
+		var bestViaDist, bestViaOwn int32
 		for _, v := range g.Neighbors(cur) {
-			if src.Dist(v, t) == graph.Unreachable {
+			dv := src.Dist(v, t)
+			if dv == graph.Unreachable {
 				continue
 			}
 			c := scratch.contact(inst, v, rng)
@@ -231,16 +259,14 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 			if bestVia == -1 || d < bestViaDist {
 				bestVia = v
 				bestViaDist = d
+				bestViaOwn = dv
 			}
 		}
-		next := direct
-		nextViaLong := viaLong
 		// Move towards the lookahead neighbour only when its contact is
 		// strictly better than anything reachable directly; the hop itself is
 		// a local link.
-		if bestVia != -1 && bestViaDist < directDist && bestViaDist < src.Dist(cur, t) {
-			next = bestVia
-			nextViaLong = false
+		if bestVia != -1 && bestViaDist < nextDist && bestViaDist < curDist {
+			next, nextDist, nextViaLong = bestVia, bestViaOwn, false
 		}
 		if next == cur {
 			return res, nil // stuck under approximate steering; see Greedy
@@ -248,7 +274,7 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 		if nextViaLong {
 			res.LongLinksUsed++
 		}
-		cur = next
+		cur, curDist = next, nextDist
 		res.Steps++
 		if opts.Trace {
 			res.Path = append(res.Path, cur)

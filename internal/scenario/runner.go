@@ -68,6 +68,9 @@ type graphEntry struct {
 	// the policy settled on per-target BFS fields); cells of this graph
 	// steer by it instead of BFS fields when present.
 	source dist.Source
+	// approx is set when source may disagree with BFS hop distances: a
+	// churned graph's repair oracle that still carries debt.
+	approx bool
 	err    error
 }
 
@@ -204,15 +207,16 @@ func (r *Runner) runSpecCells(spec Spec, cs []Cell, sem chan struct{}, done *ato
 // surfaced to renderers through CellResult.Aux.
 func (r *Runner) runCell(cell Cell) (*sim.Estimate, any, error) {
 	gkey := graphKey(cell.Graph)
-	bg, fields, source, err := r.builtGraph(gkey, cell.Graph)
+	ge, err := r.builtGraph(gkey, cell.Graph)
 	if err != nil {
 		return nil, nil, err
 	}
+	bg := ge.bg
 	inst, name, err := r.prepared(gkey, cell, bg)
 	if err != nil {
 		return nil, nil, err
 	}
-	est, err := r.engine.EstimateInstance(bg.G, name, inst, r.cellSimConfig(gkey, cell, fields, source))
+	est, err := r.engine.EstimateInstance(bg.G, name, inst, r.cellSimConfig(gkey, cell, ge))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s/%s: %w", cell.Graph.Family, cell.Scheme.Key, err)
 	}
@@ -225,7 +229,7 @@ func (r *Runner) runCell(cell Cell) (*sim.Estimate, any, error) {
 // base pairs/trials, the Config overrides, and the precision target.  In
 // adaptive mode the first batch is half the base trials (the target decides
 // where between that floor and MaxTrials a pair actually stops).
-func (r *Runner) cellSimConfig(gkey string, cell Cell, fields *dist.FieldCache, source dist.Source) sim.Config {
+func (r *Runner) cellSimConfig(gkey string, cell Cell, ge *graphEntry) sim.Config {
 	pairs, trials := cell.Pairs, cell.Trials
 	if r.cfg.Pairs > 0 {
 		pairs = r.cfg.Pairs
@@ -245,11 +249,14 @@ func (r *Runner) cellSimConfig(gkey string, cell Cell, fields *dist.FieldCache, 
 		// A shared source (analytic metric or 2-hop oracle) replaces the
 		// field cache entirely: O(1)-ish memory per distance query and no
 		// per-target BFS.  Results are identical either way (every tier is
-		// exact; see the disttest conformance suite).
-		DistSource: source,
+		// exact; see the disttest conformance suite) — except a churn
+		// repair oracle with debt, which is declared approximate so routing
+		// keeps its full neighbour scan.
+		DistSource:   ge.source,
+		ApproxSource: ge.approx,
 	}
-	if source == nil {
-		c.DistFields = fields
+	if ge.source == nil {
+		c.DistFields = ge.fields
 	}
 	target := r.cfg.Precision
 	if target == 0 {
@@ -284,10 +291,11 @@ func instKey(gkey string, ref SchemeRef) string {
 	return gkey + "|" + ref.Key
 }
 
-// builtGraph returns the shared graph instance for a ref, building it at
-// most once per run.  The builder RNG is derived from (seed, family, n)
-// only, so the instance is identical no matter which cell arrives first.
-func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.FieldCache, dist.Source, error) {
+// builtGraph returns the shared graph entry for a ref — the graph, its
+// field cache and its resolved distance source — building it at most once
+// per run.  The builder RNG is derived from (seed, family, n) only, so the
+// instance is identical no matter which cell arrives first.
+func (r *Runner) builtGraph(gkey string, ref GraphRef) (*graphEntry, error) {
 	r.stats.graphLookups.Add(1)
 	v, _ := r.graphs.LoadOrStore(gkey, &graphEntry{})
 	e := v.(*graphEntry)
@@ -315,6 +323,7 @@ func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.Field
 			e.bg = &BuiltGraph{G: res.Final, Aux: res}
 			e.fields = res.Fields
 			e.source = res.Oracle
+			e.approx = res.Oracle.Debt() > 0
 			return
 		}
 		e.bg = bg
@@ -337,7 +346,7 @@ func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.Field
 			r.oracleProgress(ref, th, time.Since(oracleStart))
 		}
 	})
-	return e.bg, e.fields, e.source, e.err
+	return e, e.err
 }
 
 // oracleProgress reports a built 2-hop oracle's cost on the progress

@@ -241,8 +241,10 @@ func (s *Server) routeOne(sh *Shard, inst routeInstance, from, to graph.NodeID, 
 	d, dApprox := s.distance(from, to)
 	src, srcApprox := s.targetSource(to)
 	res := routeResult{S: from, T: to, Dist: d, Approx: dApprox || srcApprox || inst.approx}
+	// Only the landmark rung is approximate; every other tier steers by
+	// exact distances and may stop each neighbour scan early.
 	out, err := route.Greedy(s.g, inst.inst, from, to, src,
-		sh.RNG, route.Options{Trace: trace, Scratch: sh.Scratch})
+		sh.RNG, route.Options{Trace: trace, Scratch: sh.Scratch, Exact: !srcApprox})
 	if err != nil {
 		res.Error = err.Error()
 		return res

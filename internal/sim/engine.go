@@ -316,15 +316,12 @@ func runBatch(g *graph.Graph, inst augment.Instance, st *pairState, b int, cfg C
 			return
 		}
 	}
-	opts := route.Options{MaxSteps: cfg.MaxSteps, Scratch: scratch}
+	// BFS fields are exact by construction; a shared source is exact unless
+	// the caller declared otherwise.
+	exact := cfg.DistSource == nil || !cfg.ApproxSource
+	opts := route.Options{MaxSteps: cfg.MaxSteps, Scratch: scratch, Exact: exact}
 	for trial := 0; trial < b; trial++ {
-		var res route.Result
-		var err error
-		if cfg.Lookahead {
-			res, err = route.GreedyWithLookahead(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
-		} else {
-			res, err = route.Greedy(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
-		}
+		res, err := route.Greedy(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
 		if err != nil {
 			st.err = err
 			st.done = true

@@ -50,16 +50,20 @@ type Config struct {
 	// the sampled pairs, which sharpens the greedy-diameter estimate since
 	// the diameter is a maximum over pairs.  Default true when sampling.
 	IncludeExtremalPair bool
-	// Lookahead routes with one hop of neighbour-of-neighbour lookahead
-	// (extension experiment) instead of plain greedy routing.
-	Lookahead bool
 	// DistSource, when non-nil, supplies O(1) point-to-point distances for
 	// greedy routing (an analytic closed-form metric of a structured graph
-	// family, see gen.MetricFor).  It takes precedence over DistFields and
-	// avoids materialising any per-target distance field, so memory per
-	// query stays O(1) even at n >= 10^6.  The source must agree with BFS
-	// hop distances on the graph; results are identical either way.
+	// family, see gen.MetricFor, or a 2-hop-cover oracle).  It takes
+	// precedence over DistFields and avoids materialising any per-target
+	// distance field, so memory per query stays O(1) even at n >= 10^6.
+	// Unless ApproxSource is set, the source must satisfy the dist.Source
+	// exactness invariant; results are then identical to BFS fields.
 	DistSource dist.Source
+	// ApproxSource declares that DistSource may disagree with BFS hop
+	// distances — a churn repair oracle (dist.DynTwoHop) still carrying
+	// debt.  Routing then scans every neighbour on every hop instead of
+	// stopping at the first one hop closer (route.Options.Exact), so the
+	// steering matches what the stale distances dictate.
+	ApproxSource bool
 	// DistFields, when non-nil, supplies the per-target distance fields
 	// greedy routing steers by.  It must be a cache over the same graph.
 	// When nil (and DistSource is nil) a private cache is created per

@@ -259,23 +259,6 @@ type buildError struct{}
 
 func (*buildError) Error() string { return "build failed" }
 
-func TestLookaheadConfigRuns(t *testing.T) {
-	g := gen.Grid2D(15, 15)
-	cfg := Config{Pairs: 4, Trials: 2, Seed: 23, Lookahead: true}
-	est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Samples != 8 {
-		t.Fatalf("samples %d", est.Samples)
-	}
-	for _, ps := range est.PairStats {
-		if ps.Failed != 0 {
-			t.Fatal("lookahead routing failed to reach targets")
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Pairs != 16 || c.Trials != 8 {
