@@ -24,6 +24,7 @@ import (
 	"navaug/internal/dist"
 	"navaug/internal/exact"
 	"navaug/internal/experiments"
+	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
 	"navaug/internal/sim"
 )
@@ -197,16 +198,18 @@ func runExperiments(c *command, args []string) error {
 		return fmt.Errorf("unknown format %q (known: text, csv, md, json)", *format)
 	}
 	cfg := scenario.Config{
-		Seed:       *seed,
-		Scale:      *scale,
-		Workers:    *workers,
-		Parallel:   *parallel,
-		Pairs:      *pairs,
-		Trials:     *trials,
-		Precision:  *precision,
-		MaxTrials:  *maxTrials,
-		Oracle:     policy,
-		NoAnalytic: *noAnalytic,
+		Seed:      *seed,
+		Scale:     *scale,
+		Workers:   *workers,
+		Parallel:  *parallel,
+		Pairs:     *pairs,
+		Trials:    *trials,
+		Precision: *precision,
+		MaxTrials: *maxTrials,
+		Oracle:    policy,
+	}
+	if *noAnalytic {
+		cfg.Oracle = dist.PolicyField
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -257,6 +260,7 @@ func runEstimate(c *command, args []string) error {
 	if err != nil {
 		return err
 	}
+	metric, _ := gen.MetricFor(g)
 	est, err := ag.EstimateGreedyDiameter(sim.Config{
 		Pairs:               *pairs,
 		Trials:              *trials,
@@ -264,7 +268,7 @@ func runEstimate(c *command, args []string) error {
 		Workers:             *workers,
 		TargetCI:            *precision,
 		IncludeExtremalPair: true,
-		Policy:              policy,
+		DistSource:          policy.ResolveWith(g, metric, *workers),
 	})
 	if err != nil {
 		return err

@@ -29,8 +29,8 @@ type SnapshotOptions struct {
 	// (default 1).  Serving picks a table per request via the draw
 	// parameter.
 	Draws int
-	// Oracle picks which O(1) distance tier the snapshot packs.  It reuses
-	// dist.SourcePolicy with one serving-minded deviation: under
+	// Oracle picks which O(1) distance tier the snapshot packs, resolved by
+	// dist.SourcePolicy.ResolveAt with one serving-minded parameter: under
 	// PolicyAuto a metric-less graph gets a 2-hop build at the auto label
 	// budget at *every* size, not only above dist.TwoHopAutoMinNodes — a
 	// snapshot is built once and served many times, so the build is worth
@@ -75,9 +75,11 @@ func BuildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, *SnapshotBuildStat
 	if len(opts.Schemes) == 0 {
 		opts.Schemes = []string{"ball"}
 	}
-	if opts.Oracle == "" {
-		opts.Oracle = dist.PolicyAuto
+	policy, err := dist.ParseSourcePolicy(string(opts.Oracle))
+	if err != nil {
+		return nil, nil, err
 	}
+	opts.Oracle = policy
 	progress := func(format string, args ...any) {
 		if opts.Progress != nil {
 			fmt.Fprintf(opts.Progress, "[snapshot] "+format+"\n", args...)
@@ -94,28 +96,15 @@ func BuildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, *SnapshotBuildStat
 	progress("built %v in %.2fs", g, stats.GraphBuild.Seconds())
 
 	metric, hasMetric := gen.MetricFor(g)
-	var th *dist.TwoHop
+	if opts.Oracle == dist.PolicyAnalytic && !hasMetric {
+		return nil, nil, fmt.Errorf("core: family %s has no analytic metric to pack (oracle %q)", opts.Family, opts.Oracle)
+	}
 	start = time.Now()
-	switch opts.Oracle {
-	case dist.PolicyField:
-		// Pack no O(1) tier; serve falls back to BFS fields.
-	case dist.PolicyAnalytic:
-		if !hasMetric {
-			return nil, nil, fmt.Errorf("core: family %s has no analytic metric to pack (oracle %q)", opts.Family, opts.Oracle)
-		}
-	case dist.PolicyTwoHop:
-		th = dist.NewTwoHop(g)
-	case dist.PolicyTwoHopPacked:
-		th = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
-	case dist.PolicyAuto:
-		if !hasMetric {
-			th = dist.NewTwoHopWith(g, dist.TwoHopOptions{MaxAvgLabel: dist.TwoHopAutoMaxAvgLabel, Packed: true})
-			if th == nil {
-				progress("2-hop build aborted at the %g avg-label budget; packing no O(1) tier", float64(dist.TwoHopAutoMaxAvgLabel))
-			}
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: unknown oracle policy %q", opts.Oracle)
+	// A snapshot is built once and served many times, so auto builds
+	// labels at every size (autoMinNodes 0).
+	th, _ := opts.Oracle.ResolveAt(g, metric, 0, 0).(*dist.TwoHop)
+	if th == nil && opts.Oracle == dist.PolicyAuto && !hasMetric {
+		progress("2-hop build aborted at the %g avg-label budget; packing no O(1) tier", float64(dist.TwoHopAutoMaxAvgLabel))
 	}
 	stats.OracleBuild = time.Since(start)
 	if th != nil {

@@ -101,7 +101,7 @@ func ExactAt(t testing.TB, g *graph.Graph, target graph.NodeID, src dist.Source)
 // Bounded is the contract of approximate oracles that return triangle
 // bounds (dist.LandmarkOracle).
 type Bounded interface {
-	dist.Oracle
+	dist.Source
 	Bounds(u, v graph.NodeID) (lower, upper int32)
 }
 

@@ -11,16 +11,17 @@ import (
 // exact and pinned to BFS ground truth by the disttest conformance suite),
 // so the policy never changes results — only build time, query time and
 // memory.  It is threaded from the navsim -oracle flag through
-// scenario.Config and sim.Config down to the per-graph resolution in
-// Resolve.
+// scenario.Config and core.SnapshotOptions down to the per-graph
+// resolution in ResolveAt.
 type SourcePolicy string
 
 const (
 	// PolicyAuto picks the cheapest exact tier per graph: the closed-form
 	// analytic metric when the family has one, else a 2-hop-cover oracle
-	// for graphs of at least TwoHopAutoMinNodes nodes — abandoned at a
-	// bounded label budget (TwoHopAutoMaxAvgLabel) on graphs whose covers
-	// grow too fast — else per-target BFS fields.
+	// for graphs at or above the caller's size threshold (ResolveAt's
+	// autoMinNodes) — abandoned at a bounded label budget
+	// (TwoHopAutoMaxAvgLabel) on graphs whose covers grow too fast — else
+	// per-target BFS fields.
 	PolicyAuto SourcePolicy = "auto"
 	// PolicyAnalytic uses the analytic metric when available and BFS
 	// fields otherwise, never building labels (the pre-2-hop behaviour).
@@ -38,9 +39,10 @@ const (
 )
 
 // TwoHopAutoMinNodes is the graph size at which PolicyAuto starts paying
-// the 2-hop label build for graphs without an analytic metric.  Below it,
-// the handful of per-target BFS fields an estimation needs is cheaper than
-// any label build.
+// the 2-hop label build for graphs without an analytic metric in
+// estimation runs (ResolveWith; snapshots build labels at every size).
+// Below it, the handful of per-target BFS fields an estimation needs is
+// cheaper than any label build.
 const TwoHopAutoMinNodes = 32768
 
 // TwoHopAutoMaxAvgLabel is the per-node label budget PolicyAuto hands to
@@ -66,26 +68,31 @@ func ParseSourcePolicy(s string) (SourcePolicy, error) {
 		PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyTwoHopPacked, PolicyField)
 }
 
-// Resolve picks the distance Source for g under the policy.  metric is the
-// graph's closed-form analytic metric when one exists (resolution is the
-// caller's job — typically gen.MetricFor — to keep this package free of a
-// generator dependency).  A nil return means "use per-target BFS fields";
-// everything else is a shared exact Source.  Resolution is deterministic:
-// for a fixed (graph, metric, policy) it always returns the same tier.
-// An unknown policy string panics — a misspelled policy silently running a
-// different tier than asked would be a debugging trap; CLI input goes
-// through ParseSourcePolicy, so reaching here with garbage is a
-// programming error (the same convention the gen generators follow).
-func (p SourcePolicy) Resolve(g *graph.Graph, metric Source) Source {
-	return p.ResolveWith(g, metric, 0)
-}
-
-// ResolveWith is Resolve with an explicit label-build worker count (0 means
-// GOMAXPROCS); callers that own a worker pool — scenario.Runner — thread
-// their -workers setting through so oracle builds respect the same
-// parallelism budget as everything else in the run.  The built labels are
+// ResolveWith picks the distance Source for g under the policy with the
+// estimation-minded auto threshold: ResolveAt with TwoHopAutoMinNodes.
+// Callers that own a worker pool — scenario.Runner — thread their -workers
+// setting through so oracle builds respect the same parallelism budget as
+// everything else in the run (0 means GOMAXPROCS).  The built labels are
 // byte-identical at every worker count.
 func (p SourcePolicy) ResolveWith(g *graph.Graph, metric Source, workers int) Source {
+	return p.ResolveAt(g, metric, workers, TwoHopAutoMinNodes)
+}
+
+// ResolveAt is the one place a policy becomes a distance tier.  metric is
+// the graph's closed-form analytic metric when one exists (resolution is
+// the caller's job — typically gen.MetricFor — to keep this package free
+// of a generator dependency).  autoMinNodes is the smallest graph for
+// which PolicyAuto builds 2-hop labels: estimation runs pass
+// TwoHopAutoMinNodes (via ResolveWith), while the snapshot builder passes
+// 0, because a snapshot is built once and served many times.  A nil
+// return means "use per-target BFS fields"; everything else is a shared
+// exact Source.  Resolution is deterministic: for a fixed (graph, metric,
+// policy, autoMinNodes) it always returns the same tier.  An unknown
+// policy string panics — a misspelled policy silently running a different
+// tier than asked would be a debugging trap; untrusted input goes through
+// ParseSourcePolicy, so reaching here with garbage is a programming error
+// (the same convention the gen generators follow).
+func (p SourcePolicy) ResolveAt(g *graph.Graph, metric Source, workers, autoMinNodes int) Source {
 	switch p {
 	case PolicyField:
 		return nil
@@ -99,7 +106,7 @@ func (p SourcePolicy) ResolveWith(g *graph.Graph, metric Source, workers int) So
 		if metric != nil {
 			return metric
 		}
-		if g.N() >= TwoHopAutoMinNodes {
+		if g.N() >= autoMinNodes {
 			if t := NewTwoHopWith(g, TwoHopOptions{Workers: workers, MaxAvgLabel: TwoHopAutoMaxAvgLabel, Packed: true}); t != nil {
 				return t
 			}

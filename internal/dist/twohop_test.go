@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -181,35 +182,85 @@ func TestTwoHopStats(t *testing.T) {
 	}
 }
 
-// TestSourcePolicyResolve checks the resolver's tier choices.
+// TestSourcePolicyResolve checks the resolver's tier choice for every
+// policy, with and without an analytic metric, at the estimation auto
+// threshold and at the snapshot one (0).
 func TestSourcePolicyResolve(t *testing.T) {
 	small := gridGraph(8, 8)
 	metric := NewField(small.BFS(3), 3) // stand-in analytic source
-	isMetric := func(src Source) bool {
-		f, ok := src.(Field)
-		return ok && f.Target() == 3
+	const (
+		wantFields = "fields"
+		wantMetric = "metric"
+		wantRaw    = "raw labels"
+		wantPacked = "packed labels"
+	)
+	tier := func(src Source) string {
+		switch s := src.(type) {
+		case nil:
+			return wantFields
+		case Field:
+			if s.Target() == 3 {
+				return wantMetric
+			}
+		case *TwoHop:
+			if s.Packed() {
+				return wantPacked
+			}
+			return wantRaw
+		}
+		return fmt.Sprintf("unexpected %T", src)
 	}
-	if src := PolicyField.Resolve(small, metric); src != nil {
-		t.Fatal("field policy must resolve to nil (BFS fields)")
+	for _, minNodes := range []int{0, TwoHopAutoMinNodes} {
+		for _, withMetric := range []bool{true, false} {
+			var m Source
+			if withMetric {
+				m = metric
+			}
+			// Only auto on a metric-less graph depends on the threshold:
+			// the 64-node grid is below the estimation one.
+			autoNoMetric := wantFields
+			if minNodes == 0 {
+				autoNoMetric = wantPacked
+			}
+			orMetric := func(otherwise string) string {
+				if withMetric {
+					return wantMetric
+				}
+				return otherwise
+			}
+			cases := []struct {
+				policy SourcePolicy
+				want   string
+			}{
+				{PolicyField, wantFields},
+				{PolicyAnalytic, orMetric(wantFields)},
+				{PolicyTwoHop, wantRaw},
+				{PolicyTwoHopPacked, wantPacked},
+				{PolicyAuto, orMetric(autoNoMetric)},
+				{"", orMetric(autoNoMetric)},
+			}
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("%q/metric=%v/min=%d", c.policy, withMetric, minNodes), func(t *testing.T) {
+					if got := tier(c.policy.ResolveAt(small, m, 0, minNodes)); got != c.want {
+						t.Fatalf("resolved to %s, want %s", got, c.want)
+					}
+				})
+			}
+		}
 	}
-	if src := PolicyAnalytic.Resolve(small, metric); !isMetric(src) {
-		t.Fatal("analytic policy must hand back the metric")
-	}
-	if src := PolicyAnalytic.Resolve(small, nil); src != nil {
-		t.Fatal("analytic policy without a metric must fall back to fields")
-	}
-	if _, ok := PolicyTwoHop.Resolve(small, metric).(*TwoHop); !ok {
-		t.Fatal("twohop policy must build the oracle even when a metric exists")
-	}
-	if th, ok := PolicyTwoHopPacked.Resolve(small, metric).(*TwoHop); !ok || !th.Packed() {
-		t.Fatal("twohop-packed policy must build a packed oracle even when a metric exists")
-	}
-	if src := PolicyAuto.Resolve(small, metric); !isMetric(src) {
-		t.Fatal("auto policy must prefer the metric")
-	}
-	if src := PolicyAuto.Resolve(small, nil); src != nil {
-		t.Fatalf("auto policy on a small metric-less graph must use fields, got %T", src)
-	}
+	t.Run("unknown policy panics", func(t *testing.T) {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("an unknown policy resolved instead of panicking")
+			}
+		}()
+		SourcePolicy("nope").ResolveAt(small, metric, 0, 0)
+	})
+	t.Run("ResolveWith uses the estimation threshold", func(t *testing.T) {
+		if got := tier(PolicyAuto.ResolveWith(small, nil, 0)); got != wantFields {
+			t.Fatalf("auto on a small metric-less graph resolved to %s, want %s", got, wantFields)
+		}
+	})
 	if _, err := ParseSourcePolicy("nope"); err == nil {
 		t.Fatal("ParseSourcePolicy accepted garbage")
 	}

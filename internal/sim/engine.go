@@ -9,7 +9,6 @@ import (
 	"navaug/internal/augment"
 	"navaug/internal/dist"
 	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/route"
 	"navaug/internal/stats"
 	"navaug/internal/xrand"
@@ -146,12 +145,6 @@ func (e *Engine) EstimateInstance(g *graph.Graph, schemeName string, inst augmen
 	pairs, err := selectPairs(g, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DistSource == nil && cfg.DistFields == nil && cfg.Policy != "" {
-		// Resolve the distance tier for this one estimation the way the
-		// scenario runner does per graph; nil means BFS fields below.
-		metric, _ := gen.MetricFor(g)
-		cfg.DistSource = cfg.Policy.ResolveWith(g, metric, cfg.Workers)
 	}
 	var fields *dist.FieldCache
 	if cfg.DistSource == nil {

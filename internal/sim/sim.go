@@ -52,7 +52,8 @@ type Config struct {
 	IncludeExtremalPair bool
 	// DistSource, when non-nil, supplies O(1) point-to-point distances for
 	// greedy routing (an analytic closed-form metric of a structured graph
-	// family, see gen.MetricFor, or a 2-hop-cover oracle).  It takes
+	// family, see gen.MetricFor, or a 2-hop-cover oracle), as the caller
+	// resolved it with dist.SourcePolicy.ResolveWith.  It takes
 	// precedence over DistFields and avoids materialising any per-target
 	// distance field, so memory per query stays O(1) even at n >= 10^6.
 	// Unless ApproxSource is set, the source must satisfy the dist.Source
@@ -72,14 +73,6 @@ type Config struct {
 	// per scheme.  Fields are deterministic, so sharing never affects
 	// results.
 	DistFields *dist.FieldCache
-	// Policy resolves the distance source when neither DistSource nor
-	// DistFields is supplied: the engine applies it to the graph (looking
-	// up the family's analytic metric via gen.MetricFor) exactly as the
-	// scenario runner does, so one-shot estimations honour the same
-	// -oracle knob.  Empty keeps the legacy behaviour (per-target BFS
-	// fields).  The policy never affects results, only cost: every tier
-	// answers exact BFS distances.
-	Policy dist.SourcePolicy
 	// TargetCI, when positive, switches the run to streaming adaptive
 	// estimation: each pair keeps running deterministic trial batches until
 	// the 95% CI half-width of its mean step count is at most

@@ -464,10 +464,11 @@ func TestDistSourceMatchesFieldBacked(t *testing.T) {
 	}
 }
 
-// TestEstimatePolicyEquivalence pins sim.Config.Policy: the same estimation
-// through per-target BFS fields, the 2-hop-cover oracle, the auto resolver
-// and (on a family with a closed form) the analytic metric must agree on
-// every number — all tiers are exact, so the policy is a pure cost knob.
+// TestEstimatePolicyEquivalence: the same estimation steered by each tier
+// dist.SourcePolicy.ResolveWith builds — per-target BFS fields, the
+// 2-hop-cover oracle, the auto resolver's pick and (on a family with a
+// closed form) the analytic metric — must agree on every number: all
+// tiers are exact, so the policy is a pure cost knob.
 func TestEstimatePolicyEquivalence(t *testing.T) {
 	rng := xrand.New(31)
 	graphs := []*graph.Graph{
@@ -475,9 +476,10 @@ func TestEstimatePolicyEquivalence(t *testing.T) {
 		gen.Torus2D(16, 16),                 // analytic metric available
 	}
 	for _, g := range graphs {
+		metric, _ := gen.MetricFor(g)
 		var want *Estimate
 		for _, policy := range []dist.SourcePolicy{dist.PolicyField, dist.PolicyTwoHop, dist.PolicyAuto, dist.PolicyAnalytic} {
-			cfg := Config{Pairs: 6, Trials: 3, Seed: 9, IncludeExtremalPair: true, Policy: policy}
+			cfg := Config{Pairs: 6, Trials: 3, Seed: 9, IncludeExtremalPair: true, DistSource: policy.ResolveWith(g, metric, 0)}
 			est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
 			if err != nil {
 				t.Fatalf("%v under %q: %v", g, policy, err)

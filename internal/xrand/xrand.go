@@ -82,11 +82,6 @@ func (r *RNG) SplitN(n int) []*RNG {
 	return out
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n).  It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
